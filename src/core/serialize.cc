@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "src/obs/stats.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 namespace {
@@ -40,13 +40,6 @@ bool ReadVec(std::FILE* f, std::vector<T>* v) {
   return n == 0 || std::fread(v->data(), sizeof(T), n, f) == n;
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
 }  // namespace
 
 bool SaveIndex(const ChameleonIndex& index, const std::string& path) {
@@ -62,7 +55,9 @@ bool LoadIndex(ChameleonIndex* index, const std::string& path) {
 bool ChameleonIndex::SaveTo(const std::string& path) const {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (f == nullptr) return false;
-  return SaveTo(f.get());
+  const bool ok = SaveTo(f.get());
+  // A write error can first show up when close flushes the buffer.
+  return std::fclose(f.release()) == 0 && ok;
 }
 
 bool ChameleonIndex::SaveTo(std::FILE* fp) const {

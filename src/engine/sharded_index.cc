@@ -1,8 +1,5 @@
 #include "src/engine/sharded_index.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -14,6 +11,7 @@
 
 #include "src/obs/stats.h"
 #include "src/util/crc32c.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 namespace {
@@ -42,15 +40,6 @@ std::string DurableRootOf(const SpecNode& spec, const SpecBuildContext& ctx) {
     return "";
   }
   return "";
-}
-
-void SyncDirOf(const std::string& path) {
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
@@ -162,18 +151,9 @@ bool ShardedIndex::SaveShardMeta() const {
   std::error_code ec;
   std::filesystem::create_directories(
       std::filesystem::path(meta_path_).parent_path(), ec);
-  const std::string tmp = meta_path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool written = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  const bool flushed =
-      written && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!flushed) return false;
-  std::filesystem::rename(tmp, meta_path_, ec);
-  if (ec) return false;
-  SyncDirOf(meta_path_);
-  return true;
+  return DurableWriteFile(meta_path_, [&](std::FILE* f) {
+    return std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
+  });
 }
 
 bool ShardedIndex::LoadShardMeta() {

@@ -1,6 +1,7 @@
 #include "src/obs/trace_journal.h"
 
 #include <cstdio>
+#include <thread>
 
 #include "src/util/timer.h"
 
@@ -29,13 +30,23 @@ void TraceJournal::Append(TraceEventType type, uint64_t a,
   if (!enabled()) return;
   const uint64_t idx = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[idx & kMask];
-  // Invalidate first so a concurrent Snapshot never pairs the new
-  // payload with the old sequence number.
-  slot.seq.store(0, std::memory_order_release);
-  slot.ts_ns.store(NowNanos(), std::memory_order_relaxed);
-  slot.type.store(static_cast<uint32_t>(type), std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+  // Claim the slot first, so a concurrent Snapshot never pairs the new
+  // payload with the old sequence number and two writers a ring apart
+  // never interleave their payloads. The payload stores release the
+  // claim to any reader that sees one of them.
+  uint64_t cur = slot.seq.load(std::memory_order_relaxed);
+  do {
+    while (cur == kWriting) {
+      std::this_thread::yield();
+      cur = slot.seq.load(std::memory_order_relaxed);
+    }
+  } while (!slot.seq.compare_exchange_weak(cur, kWriting,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
+  slot.ts_ns.store(NowNanos(), std::memory_order_release);
+  slot.type.store(static_cast<uint32_t>(type), std::memory_order_release);
+  slot.a.store(a, std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
   slot.seq.store(idx + 1, std::memory_order_release);
 }
 
@@ -53,11 +64,14 @@ std::vector<TraceEvent> TraceJournal::Snapshot() const {
     const Slot& slot = slots_[i & kMask];
     if (slot.seq.load(std::memory_order_acquire) != i + 1) continue;
     TraceEvent ev;
-    ev.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
+    ev.ts_ns = slot.ts_ns.load(std::memory_order_acquire);
     ev.type = static_cast<TraceEventType>(
-        slot.type.load(std::memory_order_relaxed));
-    ev.a = slot.a.load(std::memory_order_relaxed);
-    ev.b = slot.b.load(std::memory_order_relaxed);
+        slot.type.load(std::memory_order_acquire));
+    ev.a = slot.a.load(std::memory_order_acquire);
+    ev.b = slot.b.load(std::memory_order_acquire);
+    // A writer that claimed the slot after the first load is visible
+    // here once any of its payload stores was.
+    if (slot.seq.load(std::memory_order_relaxed) != i + 1) continue;
     out.push_back(ev);
   }
   return out;

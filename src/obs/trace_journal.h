@@ -49,11 +49,13 @@ struct TraceEvent {
 /// (when did retrains fire, which units churned, where did lock
 /// conflicts cluster) without attaching a profiler.
 ///
-/// Writers claim a slot with one fetch_add and publish it by storing
-/// the slot's sequence number last (release); Snapshot() skips slots
-/// whose sequence does not match, so torn entries are dropped rather
-/// than misread. All fields are relaxed atomics: no locks, no
-/// allocation on the write path, TSan-clean under concurrent append.
+/// Writers claim a slot index with one fetch_add, mark the slot
+/// kWriting (waiting only if a writer that lapped the ring still holds
+/// it), and publish it by storing the slot's sequence number last
+/// (release). Snapshot() reads a slot seqlock-style, keeping it only if
+/// the sequence matches before and after the payload loads, so torn
+/// entries are dropped rather than misread. No locks, no allocation on
+/// the write path, TSan-clean under concurrent append.
 /// The buffer keeps the most recent kCapacity events and silently
 /// overwrites older ones (total_appended() tells how many were dropped).
 ///
@@ -97,13 +99,14 @@ class TraceJournal {
   TraceJournal() = default;
 
   struct Slot {
-    std::atomic<uint64_t> seq{0};  // 0 = empty/in-flight, else index + 1
+    std::atomic<uint64_t> seq{0};  // 0 = empty, kWriting, else index + 1
     std::atomic<int64_t> ts_ns{0};
     std::atomic<uint32_t> type{0};
     std::atomic<uint64_t> a{0};
     std::atomic<uint64_t> b{0};
   };
   static constexpr uint64_t kMask = kCapacity - 1;
+  static constexpr uint64_t kWriting = ~uint64_t{0};
   static_assert((kCapacity & kMask) == 0, "capacity must be a power of two");
 
   Slot slots_[kCapacity];

@@ -1,16 +1,12 @@
 #include "src/storage/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <vector>
 
 #include "src/core/chameleon_index.h"
 #include "src/util/crc32c.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 namespace {
@@ -20,13 +16,6 @@ constexpr uint32_t kVersion = 1;
 // magic + version + kind + count + wal_seq (packed by hand, no padding).
 constexpr size_t kHeaderBodySize = 4 + 4 + 1 + 8 + 8;
 constexpr size_t kHeaderSize = kHeaderBodySize + 4;  // + header_crc
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 void PackHeader(uint8_t (&buf)[kHeaderBodySize], const SnapshotMeta& meta) {
   std::memcpy(buf, &kMagic, 4);
@@ -83,61 +72,42 @@ bool WriteSnapshot(const KvIndex& index, const std::string& path,
   meta.count = index.size();
   meta.wal_seq = wal_seq;
 
-  const std::string tmp = path + ".tmp";
-  // "w+b": the native path reads the stream back (CrcOfRange) after
-  // writing it, which a write-only stream would refuse.
-  FilePtr f(std::fopen(tmp.c_str(), "w+b"));
-  if (f == nullptr) return false;
-  std::FILE* fp = f.get();
-
-  uint8_t header[kHeaderBodySize];
-  PackHeader(header, meta);
-  const uint32_t header_crc = Crc32c(header, sizeof(header));
-  if (std::fwrite(header, 1, sizeof(header), fp) != sizeof(header) ||
-      std::fwrite(&header_crc, 4, 1, fp) != 1) {
-    return false;
-  }
-
-  uint32_t payload_crc = 0;
-  if (chameleon != nullptr) {
-    // Native structure stream; checksum it with a second pass over the
-    // just-written bytes (recovery-path cost, not the write hot path).
-    if (!chameleon->SaveTo(fp)) return false;
-    if (std::fflush(fp) != 0) return false;
-    const long payload_end = std::ftell(fp);
-    if (payload_end < 0 ||
-        !CrcOfRange(fp, kHeaderSize, payload_end - kHeaderSize,
-                    &payload_crc) ||
-        std::fseek(fp, payload_end, SEEK_SET) != 0) {
+  // The native path reads its bytes back (CrcOfRange) for the CRC.
+  return DurableWriteFile(path, [&](std::FILE* fp) {
+    uint8_t header[kHeaderBodySize];
+    PackHeader(header, meta);
+    const uint32_t header_crc = Crc32c(header, sizeof(header));
+    if (std::fwrite(header, 1, sizeof(header), fp) != sizeof(header) ||
+        std::fwrite(&header_crc, 4, 1, fp) != 1) {
       return false;
     }
-  } else {
-    std::vector<KeyValue> all;
-    all.reserve(index.size());
-    index.RangeScan(kMinKey, kMaxKey - 1, &all);
-    if (all.size() != meta.count) return false;
-    const size_t bytes = all.size() * sizeof(KeyValue);
-    if (bytes > 0 && std::fwrite(all.data(), 1, bytes, fp) != bytes) {
-      return false;
-    }
-    payload_crc = Crc32c(all.data(), bytes);
-  }
-  if (std::fwrite(&payload_crc, 4, 1, fp) != 1) return false;
-  if (std::fflush(fp) != 0 || ::fsync(::fileno(fp)) != 0) return false;
-  f.reset();  // close before rename
 
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return false;
-  // Persist the rename's directory entry.
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
+    uint32_t payload_crc = 0;
+    if (chameleon != nullptr) {
+      // Native structure stream; checksum it with a second pass over the
+      // just-written bytes (recovery-path cost, not the write hot path).
+      if (!chameleon->SaveTo(fp)) return false;
+      if (std::fflush(fp) != 0) return false;
+      const long payload_end = std::ftell(fp);
+      if (payload_end < 0 ||
+          !CrcOfRange(fp, kHeaderSize, payload_end - kHeaderSize,
+                      &payload_crc) ||
+          std::fseek(fp, payload_end, SEEK_SET) != 0) {
+        return false;
+      }
+    } else {
+      std::vector<KeyValue> all;
+      all.reserve(index.size());
+      index.RangeScan(kMinKey, kMaxKey - 1, &all);
+      if (all.size() != meta.count) return false;
+      const size_t bytes = all.size() * sizeof(KeyValue);
+      if (bytes > 0 && std::fwrite(all.data(), 1, bytes, fp) != bytes) {
+        return false;
+      }
+      payload_crc = Crc32c(all.data(), bytes);
+    }
+    return std::fwrite(&payload_crc, 4, 1, fp) == 1;
+  });
 }
 
 bool ReadSnapshotMeta(const std::string& path, SnapshotMeta* meta) {

@@ -40,9 +40,8 @@ struct SnapshotMeta {
 /// WriteSnapshot picks kChameleonNative automatically when `index` is a
 /// ChameleonIndex (the fast recovery path) and falls back to the sorted
 /// dump for every other implementation, including engine-layer wrappers
-/// like ShardedIndex. The write is atomic: the file is assembled at
-/// `path + ".tmp"`, fsynced, then renamed over `path`, so a crash never
-/// leaves a half-written snapshot under the final name.
+/// like ShardedIndex. The write is atomic (DurableWriteFile), so a crash
+/// never leaves a half-written snapshot under the final name.
 ///
 /// Caller contract: writers must be quiesced (DurableIndex holds its
 /// write mutex); a live Chameleon retraining thread is paused and

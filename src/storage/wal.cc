@@ -1,6 +1,5 @@
 #include "src/storage/wal.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +10,7 @@
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
 #include "src/util/crc32c.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 namespace {
@@ -19,16 +19,6 @@ constexpr uint32_t kSegmentMagic = 0x4357414C;  // "CWAL"
 constexpr uint32_t kSegmentVersion = 1;
 constexpr size_t kSegmentHeaderSize = 4 + 4 + 8;  // magic, version, seq
 constexpr size_t kRecordHeaderSize = 4 + 4 + 1;   // crc, len, type
-
-/// fsyncs the directory so segment create/delete entries are durable
-/// (a file's own fsync does not persist its directory entry).
-void SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
 
 }  // namespace
 
@@ -70,7 +60,7 @@ bool Wal::OpenSegmentLocked(uint64_t seq) {
   appends_since_sync_ = 0;
   const bool ok = std::fwrite(&kSegmentMagic, 4, 1, file_) == 1 &&
                   std::fwrite(&kSegmentVersion, 4, 1, file_) == 1 &&
-                  std::fwrite(&seq, 8, 1, file_) == 1;
+                  std::fwrite(&seq, 8, 1, file_) == 1 && FsyncDir(dir_);
   if (!ok) {
     std::fclose(file_);
     file_ = nullptr;
@@ -79,7 +69,6 @@ bool Wal::OpenSegmentLocked(uint64_t seq) {
   }
   segment_bytes_written_.store(kSegmentHeaderSize, std::memory_order_release);
   open_.store(true, std::memory_order_release);
-  SyncDir(dir_);
   return true;
 }
 
@@ -96,28 +85,39 @@ bool Wal::Open() {
   return OpenSegmentLocked(seqs.empty() ? 0 : seqs.back() + 1);
 }
 
-void Wal::CloseLocked() {
-  if (file_ == nullptr) return;
-  std::fflush(file_);
-  if (options_.fsync != FsyncPolicy::kNone) {
-    ::fsync(::fileno(file_));
-    synced_segment_bytes_ =
-        segment_bytes_written_.load(std::memory_order_relaxed);
-    // The close fsync commits every record buffered so far, so pending
-    // CommitUpTo callers (and a Sync after a rotation) need no second
-    // sync of the retired segment.
-    committed_records_.store(appended_records_.load(std::memory_order_relaxed),
-                             std::memory_order_release);
+bool Wal::CloseLocked() {
+  if (file_ == nullptr) return true;
+  bool ok = std::fflush(file_) == 0;
+  if (ok && options_.fsync != FsyncPolicy::kNone) {
+    ok = FsyncFileLocked();
+    if (ok) {
+      synced_segment_bytes_ =
+          segment_bytes_written_.load(std::memory_order_relaxed);
+      // The close fsync commits every record buffered so far, so pending
+      // CommitUpTo callers (and a Sync after a rotation) need no second
+      // sync of the retired segment.
+      committed_records_.store(
+          appended_records_.load(std::memory_order_relaxed),
+          std::memory_order_release);
+    }
   }
-  std::fclose(file_);
+  ok = std::fclose(file_) == 0 && ok;
   file_ = nullptr;
   open_.store(false, std::memory_order_release);
+  return ok;
 }
 
-void Wal::Close() {
+bool Wal::Close() {
   std::lock_guard<std::mutex> append_lock(append_mu_);
   std::lock_guard<std::mutex> sync_lock(sync_mu_);
-  CloseLocked();
+  return CloseLocked();
+}
+
+bool Wal::FsyncFileLocked() {
+  if (fsync_fail_in_ > 0 && --fsync_fail_in_ == 0) {
+    return false;  // injected fault: the k-th fsync "fails"
+  }
+  return ::fsync(::fileno(file_)) == 0;
 }
 
 bool Wal::DoSyncLocked(uint64_t flushed_bytes) {
@@ -131,10 +131,7 @@ bool Wal::DoSyncLocked(uint64_t flushed_bytes) {
   if (delay_us > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
   }
-  if (fsync_fail_in_ > 0 && --fsync_fail_in_ == 0) {
-    return false;  // injected fault: the k-th fsync "fails"
-  }
-  if (::fsync(::fileno(file_)) != 0) return false;
+  if (!FsyncFileLocked()) return false;
   // `flushed_bytes` was captured before the fflush, so it only counts
   // records fully buffered by then — a conservative crash barrier when
   // appenders raced the flush.
@@ -181,8 +178,7 @@ bool Wal::Rotate() {
   if (file_ == nullptr) return false;
   std::lock_guard<std::mutex> sync_lock(sync_mu_);
   const uint64_t next = current_seq_.load(std::memory_order_relaxed) + 1;
-  CloseLocked();
-  return OpenSegmentLocked(next);
+  return CloseLocked() && OpenSegmentLocked(next);
 }
 
 bool Wal::Append(uint8_t type, const void* payload, size_t payload_len) {
@@ -205,8 +201,7 @@ bool Wal::Append(uint8_t type, const void* payload, size_t payload_len) {
         options_.segment_bytes) {
       std::lock_guard<std::mutex> sync_lock(sync_mu_);
       const uint64_t next = current_seq_.load(std::memory_order_relaxed) + 1;
-      CloseLocked();
-      if (!OpenSegmentLocked(next)) return false;
+      if (!CloseLocked() || !OpenSegmentLocked(next)) return false;
     }
     // Assemble the whole record [crc][len][type][payload] and emit it
     // with a single fwrite: a concurrent group-commit leader may fflush
@@ -268,7 +263,9 @@ size_t Wal::TruncateBefore(uint64_t seq) {
     std::error_code ec;
     if (std::filesystem::remove(SegmentPath(s), ec)) ++removed;
   }
-  if (removed > 0) SyncDir(dir_);
+  // A failed sync is only reported: a removed segment that reappears
+  // after a crash lies below the snapshot boundary; Replay skips it.
+  if (removed > 0) FsyncDir(dir_);
   return removed;
 }
 

@@ -87,8 +87,10 @@ class Wal {
   bool Open();
 
   /// Flushes, fsyncs (unless policy is kNone), and closes the current
-  /// segment. Open() may be called again afterwards.
-  void Close();
+  /// segment. Open() may be called again afterwards. Returns false when
+  /// the flush, fsync or close failed; records appended since the last
+  /// commit are then not acknowledged as durable.
+  bool Close();
 
   /// Appends one record and applies the fsync policy (for kAlways, and
   /// kEveryN at a window boundary, this blocks until the record's
@@ -106,6 +108,9 @@ class Wal {
 
   /// Closes the current segment and starts the next one. Checkpoints
   /// rotate first so the snapshot boundary is a segment boundary.
+  /// Returns false, leaving the log closed, when closing the current
+  /// segment (see Close) or opening the next one fails; Append rotates
+  /// the same way and fails likewise.
   bool Rotate();
 
   /// Deletes every segment with sequence < `seq` (they are covered by a
@@ -136,8 +141,9 @@ class Wal {
   uint64_t committed_records() const {
     return committed_records_.load(std::memory_order_acquire);
   }
-  /// fsyncs issued by this Wal (local mirror of kWalFsyncs, available
-  /// under CHAMELEON_NO_STATS builds too).
+  /// Commit fsyncs issued by this Wal (local mirror of kWalFsyncs,
+  /// available under CHAMELEON_NO_STATS builds too); a segment close's
+  /// fsync is not counted.
   uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_acquire); }
   bool is_open() const { return open_.load(std::memory_order_acquire); }
 
@@ -147,8 +153,9 @@ class Wal {
 
   // --- Fault injection (tests and bench_durability --crash-after) -----------
 
-  /// Makes the k-th fsync *from now* (1-based) fail; 0 disables. The
-  /// failed fsync consumes the trigger, subsequent ones succeed.
+  /// Makes the k-th fsync *from now* (1-based) fail; 0 disables. Commit
+  /// fsyncs and segment-close fsyncs both count. The failed fsync
+  /// consumes the trigger, subsequent ones succeed.
   void InjectFsyncFailure(size_t kth);
 
   /// Test hook: sleeps this long inside every fsync, widening the
@@ -174,8 +181,11 @@ class Wal {
   // open/close/rotate hold both, so the leader's FILE* is stable for
   // the duration of its fsync.
   bool OpenSegmentLocked(uint64_t seq);  // both mutexes held
-  void CloseLocked();                    // both mutexes held
+  bool CloseLocked();                    // both mutexes held
   bool DoSyncLocked(uint64_t flushed_bytes);  // sync_mu_ held
+  /// ::fsync of the current segment, or the injected failure when the
+  /// InjectFsyncFailure countdown reaches this call.
+  bool FsyncFileLocked();                // sync_mu_ held
   /// Blocks until commit sequence `seq` is durable; one leader fsync
   /// may commit many pending records. Called without locks held.
   bool CommitUpTo(uint64_t seq);

@@ -1,8 +1,5 @@
 #include "src/tiered/tiered_index.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -17,6 +14,7 @@
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
 #include "src/storage/durable_index.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 
@@ -25,15 +23,6 @@ namespace {
 constexpr size_t kNoPage = static_cast<size_t>(-1);
 
 std::string MainPath(const std::string& dir) { return dir + "/main.pages"; }
-
-void SyncDirContaining(const std::string& path) {
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
 
 }  // namespace
 
@@ -373,15 +362,12 @@ bool TieredIndex::Merge() {
   // pool, swap in a fresh delta, drop tombstones.
   {
     CHAMELEON_PHASE_SPAN(kMergeInstall);
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, MainPath(dir_), ec);
-    if (ec) {
-      std::fprintf(stderr, "tiered: installing merged run in %s failed: %s\n",
-                   dir_.c_str(), ec.message().c_str());
+    // On failure the old run (still open) plus the delta hold the same
+    // entries as whichever run the main path names now.
+    if (!DurableRename(tmp_path, MainPath(dir_))) {
       std::filesystem::remove(tmp_path);
       return false;
     }
-    SyncDirContaining(MainPath(dir_));
     tiered::PageFileOptions pf;
     pf.direct_io = options_.direct_io;
     std::unique_ptr<tiered::PageFile> reopened = tiered::PageFile::Open(MainPath(dir_), pf);

@@ -80,9 +80,13 @@ std::shared_ptr<ThreadPool::ForLoop> ThreadPool::FirstRunnable() {
 void ThreadPool::WorkerMain() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    cv_.wait(lock, [this] { return stop_ || FirstRunnable() != nullptr; });
+    // Capture the loop the predicate saw: the ParallelFor caller claims
+    // chunks without mu_, so a second FirstRunnable() could find none.
+    std::shared_ptr<ForLoop> loop;
+    cv_.wait(lock, [&] {
+      return stop_ || (loop = FirstRunnable()) != nullptr;
+    });
     if (stop_) return;
-    std::shared_ptr<ForLoop> loop = FirstRunnable();
     lock.unlock();
     while (loop->RunOneChunk()) {
     }

@@ -124,6 +124,31 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallsFromTwoThreads) {
   EXPECT_EQ(a, b);
 }
 
+// Thousands of 2-4 chunk loops from two callers. A caller claims chunks
+// without the pool mutex, so a worker woken for a loop can find its
+// chunks all taken; it must then wait again, not run a null loop.
+TEST(ThreadPoolTest, ManyTinyLoopsFromTwoCallers) {
+  ThreadPool pool(4);
+  constexpr size_t kLoops = 5000;
+  size_t expected = 0;
+  for (size_t l = 0; l < kLoops; ++l) expected += 2 + l % 3;
+  auto run = [&pool](size_t* total) {
+    for (size_t l = 0; l < kLoops; ++l) {
+      std::atomic<size_t> covered{0};
+      pool.ParallelFor(0, 2 + l % 3, 1, [&covered](size_t b, size_t e) {
+        covered.fetch_add(e - b);
+      });
+      *total += covered.load();
+    }
+  };
+  size_t a = 0, b = 0;
+  std::thread other([&] { run(&b); });
+  run(&a);
+  other.join();
+  EXPECT_EQ(a, expected);
+  EXPECT_EQ(b, expected);
+}
+
 TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv) {
   const char* saved = std::getenv("CHAMELEON_THREADS");
   const std::string saved_copy = saved ? saved : "";

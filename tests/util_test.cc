@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +173,60 @@ TEST(IoTest, TruncatedFileFails) {
   EXPECT_FALSE(ReadSosdFile(path, &keys));
   EXPECT_TRUE(keys.empty());
   std::remove(path.c_str());
+}
+
+/// Reads a whole file as a string; "" when it cannot be opened.
+std::string Slurp(const std::string& path) {
+  std::string out;
+  FilePtr f(std::fopen(path.c_str(), "rb"));
+  if (f == nullptr) return out;
+  char buf[256];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) out.append(buf, n);
+  return out;
+}
+
+bool WriteText(std::FILE* f, const std::string& text) {
+  return std::fwrite(text.data(), 1, text.size(), f) == text.size();
+}
+
+TEST(IoTest, DurableWriteReplacesFileAndLeavesNoTmp) {
+  const std::string path = ::testing::TempDir() + "/durable_replace.bin";
+  ASSERT_TRUE(DurableWriteFile(
+      path, [](std::FILE* f) { return WriteText(f, "old contents"); }));
+  ASSERT_TRUE(DurableWriteFile(
+      path, [](std::FILE* f) { return WriteText(f, "new"); }));
+  EXPECT_EQ(Slurp(path), "new");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, DurableWriteFailedCallbackKeepsOldContents) {
+  const std::string path = ::testing::TempDir() + "/durable_keep.bin";
+  ASSERT_TRUE(DurableWriteFile(
+      path, [](std::FILE* f) { return WriteText(f, "old contents"); }));
+  EXPECT_FALSE(DurableWriteFile(path, [](std::FILE* f) {
+    WriteText(f, "half");
+    return false;
+  }));
+  EXPECT_EQ(Slurp(path), "old contents");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, DurableWriteIntoMissingDirectoryFails) {
+  bool called = false;
+  EXPECT_FALSE(DurableWriteFile("/nonexistent/dir/out.bin", [&](std::FILE*) {
+    called = true;
+    return true;
+  }));
+  EXPECT_FALSE(called);
+}
+
+TEST(IoTest, FsyncDir) {
+  EXPECT_TRUE(FsyncDir(""));  // the current directory
+  EXPECT_TRUE(FsyncDir(::testing::TempDir()));
+  EXPECT_FALSE(FsyncDir("/nonexistent/dir"));
 }
 
 }  // namespace

@@ -274,6 +274,26 @@ TEST_F(WalTest, InjectedFsyncFailureFailsTheAppend) {
   EXPECT_TRUE(wal.Append(1, &word, 8)) << "fault is one-shot";
 }
 
+TEST_F(WalTest, FailedRotationFsyncFailsTheAppend) {
+  // A commit window wider than the test: only the rotation's close
+  // fsync could commit the first records.
+  WalOptions options;
+  options.segment_bytes = 100;
+  options.fsync = FsyncPolicy::kEveryN;
+  options.fsync_every_n = 1000;
+  Wal wal(dir_, options);
+  ASSERT_TRUE(wal.Open());
+  const uint64_t first = wal.current_seq();
+  AppendPattern(&wal, 5);  // 16-byte header + 5 x 17-byte records < 100
+  ASSERT_EQ(wal.current_seq(), first);
+  wal.InjectFsyncFailure(1);
+  const uint64_t word = 5;
+  EXPECT_FALSE(wal.Append(1, &word, 8))
+      << "a rotation must not ack records its close fsync failed to sync";
+  EXPECT_EQ(wal.committed_records(), 0u);
+  EXPECT_EQ(wal.fsyncs(), 0u);
+}
+
 TEST_F(WalTest, SimulateCrashKeepsEverythingUnderFsyncAlways) {
   Wal wal(dir_, WalOptions{.fsync = FsyncPolicy::kAlways});
   ASSERT_TRUE(wal.Open());
