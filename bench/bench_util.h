@@ -23,6 +23,7 @@
 #include "src/obs/stats.h"
 #include "src/obs/trace_journal.h"
 #include "src/simd/probe_kernel.h"
+#include "src/util/crc32c.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 #include "src/workload/driver.h"
@@ -575,16 +576,16 @@ class JsonReport {
       std::fprintf(f, "  \"workload\": \"%s\",\n",
                    JsonEscape(workload_).c_str());
     }
-    // Build provenance (PR 6): every perf blob is attributable to an
-    // exact source revision, compiler, and instrumentation state.
-    // simd_kernel (PR 7) records the probe-kernel tier the run actually
-    // dispatched to (cpuid + CHAMELEON_SIMD_LEVEL at runtime, not just
-    // what was compiled in) — perf diffs across hosts are meaningless
-    // without it.
+    // Build provenance: every perf blob is attributable to an exact
+    // source revision, compiler, and instrumentation state. simd_kernel
+    // and crc32c record the probe-kernel tier and checksum path the run
+    // actually dispatched to (cpuid + CHAMELEON_SIMD_LEVEL at runtime,
+    // not just what was compiled in) — perf diffs across hosts are
+    // meaningless without them.
     std::fprintf(f,
                  "  \"build\": {\"git_sha\": \"%s\", \"compiler\": \"%s\", "
                  "\"build_type\": \"%s\", \"seed\": %llu, \"no_stats\": %s, "
-                 "\"simd_kernel\": \"%s\"},\n",
+                 "\"simd_kernel\": \"%s\", \"crc32c\": \"%s\"},\n",
                  JsonEscape(CHAMELEON_GIT_SHA).c_str(),
                  JsonEscape(CompilerString()).c_str(),
                  JsonEscape(CHAMELEON_BUILD_TYPE).c_str(),
@@ -595,7 +596,8 @@ class JsonReport {
                  "false",
 #endif
                  JsonEscape(simd::SimdLevelName(simd::ActiveSimdLevel()))
-                     .c_str());
+                     .c_str(),
+                 Crc32cImplementation());
     std::fprintf(f, "  \"throughput_mops\": %.6g,\n",
                  mean > 0.0 ? 1e3 / mean : 0.0);
     std::fprintf(f,

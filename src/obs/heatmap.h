@@ -32,19 +32,27 @@ struct UnitHeat {
 using Heatmap = std::vector<UnitHeat>;
 
 /// Per-thread sampling gate for heat instrumentation: Tick() returns
-/// true on every 2^kShift-th call from the calling thread, and callers
-/// then add kWeight to the unit's counter — one thread-local increment
-/// and mask per operation, one relaxed fetch_add per sample. This keeps
-/// the heat overhead on the lookup hot path well under the 5% telemetry
-/// budget (DESIGN.md §11) while totals stay unbiased in expectation.
+/// true with probability 1/kWeight, drawn from a per-thread xorshift64
+/// generator (fixed seed), and callers then add kWeight to the unit's
+/// counter — a few register ops per operation, one relaxed fetch_add
+/// per sample. This keeps the heat overhead on the lookup hot path well
+/// under the 5% telemetry budget (DESIGN.md §11) while totals stay
+/// unbiased in expectation. The draw is random rather than every
+/// kWeight-th call because call sites share the generator: with a
+/// counter, a layer whose operation ticks twice (a Disk lookup ticks
+/// in its delta and again per page read) locks each site to a fixed
+/// phase, and one of them never samples.
 class HeatSampler {
  public:
   static constexpr uint32_t kShift = 3;
   static constexpr uint64_t kWeight = uint64_t{1} << kShift;
 
   static bool Tick() noexcept {
-    thread_local uint32_t n = 0;
-    return (++n & (kWeight - 1)) == 0;
+    thread_local uint64_t state = 0x9E3779B97F4A7C15ULL;
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return (state >> (64 - kShift)) == 0;
   }
 };
 

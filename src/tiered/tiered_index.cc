@@ -55,7 +55,12 @@ bool TieredIndex::EnsureMainFile() {
   pf.page_size = options_.page_size;
   pf.direct_io = options_.direct_io;
   main_ = tiered::PageFile::Create(MainPath(dir_), pf);
-  if (main_ == nullptr) return false;
+  // The new file's directory entry must survive a crash, as must the
+  // run BulkLoad is about to write into it.
+  if (main_ == nullptr || !FsyncDir(dir_)) {
+    main_.reset();
+    return false;
+  }
   pool_ = std::make_unique<tiered::BufferPool>(main_.get(), options_.frames);
   return true;
 }

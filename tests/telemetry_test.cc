@@ -85,6 +85,27 @@ TEST(HeatmapTest, JsonRendersEveryEntry) {
   EXPECT_EQ(HeatmapJson({}), "[]");
 }
 
+TEST(HeatmapTest, AlternatingSitesBothSample) {
+  // Two call sites sharing the thread's sampler, strictly alternating
+  // (a Disk lookup ticks once in its delta and once per page read):
+  // each must still see ~1 in kWeight of its own hits sampled.
+  std::atomic<uint64_t> a{0}, b{0};
+  for (int i = 0; i < 8000; ++i) {
+    CHAMELEON_HEAT_HIT(a);
+    CHAMELEON_HEAT_HIT(b);
+  }
+#ifdef CHAMELEON_NO_STATS
+  EXPECT_EQ(a.load() + b.load(), 0u);
+#else
+  const uint64_t expected = 8000 / HeatSampler::kWeight;  // samples per cell
+  for (uint64_t cell : {a.load(), b.load()}) {
+    EXPECT_EQ(cell % HeatSampler::kWeight, 0u);
+    EXPECT_GT(cell / HeatSampler::kWeight, expected * 8 / 10) << cell;
+    EXPECT_LT(cell / HeatSampler::kWeight, expected * 12 / 10) << cell;
+  }
+#endif
+}
+
 // --- Heatmaps through real index stacks -------------------------------------
 
 std::vector<KeyValue> SequentialData(size_t n) {

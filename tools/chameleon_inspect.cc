@@ -35,7 +35,8 @@
 //                  that specifically probe the disk tier.
 //   --kernels      print CPU features, the SIMD probe-kernel tiers this
 //                  build+host can run, the dispatched tier, and the
-//                  kernel selected per operation (JSON), then exit.
+//                  kernel selected per operation, plus the CRC-32C
+//                  path ("sse4.2" or "portable") (JSON), then exit.
 //                  Honors CHAMELEON_SIMD_LEVEL, so it shows exactly
 //                  what a bench run under the same env would use.
 //
@@ -51,6 +52,7 @@
 #include "bench/bench_util.h"
 #include "src/data/skew.h"
 #include "src/tiered/tiered_index.h"
+#include "src/util/crc32c.h"
 
 using namespace chameleon;
 using namespace chameleon::bench;
@@ -148,7 +150,8 @@ void PrintUnitJson(FILE* out, const obs::UnitHeat& u, size_t index) {
 // any CHAMELEON_SIMD_LEVEL override), and the kernel each EbhLeaf
 // operation resolves to — range_collect can differ from the tier name
 // (SSE2 has no unsigned 64-bit compare, so its table borrows the
-// scalar range kernel).
+// scalar range kernel) — and the checksum path every page, WAL record
+// and snapshot is verified with.
 void PrintKernels() {
   const simd::ProbeKernels& k = simd::ActiveKernels();
   std::printf("{\n  \"cpu_features\": \"%s\",\n",
@@ -165,6 +168,7 @@ void PrintKernels() {
       "  \"kernels\": {\"find_in_window\": \"%s\", \"find_nearest\": "
       "\"%s\", \"range_collect\": \"%s\"},\n",
       k.name, k.name, k.range_name);
+  std::printf("  \"crc32c\": \"%s\",\n", Crc32cImplementation());
   std::printf("  \"simd_build\": %s\n}\n",
 #ifdef CHAMELEON_SIMD_ENABLED
               "true"
